@@ -24,6 +24,7 @@
 
 #include "bench_util.hpp"
 #include "dip/ctrl/journal.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::bench {
 namespace {
@@ -122,7 +123,7 @@ void BM_Journal_Flush(benchmark::State& state) {
   const auto routes = static_cast<std::size_t>(state.range(0));
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  const auto seed = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed = std::make_unique<fib::TreeBitmap<32>>();
   for (std::size_t i = 0; i < routes; ++i) {
     seed->insert({fib::ipv4_from_u32(static_cast<std::uint32_t>(i) << 12), 24},
                  static_cast<core::FaceId>(1 + i % 8));

@@ -6,18 +6,18 @@
 //
 //   * BM_ScaleLookup*/N    — lookup ns per engine at 10k/100k/1M routes,
 //     with bytes/prefix and mean lookup depth as counters (the CRAM-lens
-//     trade-off surface: Dir24 buys depth ~1 with a 64 MiB slab; the tree
-//     bitmap holds ~tens of bytes/prefix at depth ~4-6).
-//     The binary trie rides along at 10k/100k only — ~1 GiB of pointer
-//     chasing at 1M is exactly the non-option the compressed engines exist
-//     to replace.
+//     trade-off surface: the tree bitmap holds ~tens of bytes/prefix at
+//     depth ~4-6). The binary-trie reference rides along at 10k/100k only —
+//     ~1 GiB of pointer chasing at 1M is exactly the non-option the
+//     compressed engine exists to replace.
 //   * BM_ScaleLookup6*/N   — the IPv6 picture at 200k routes (/48-heavy).
 //   * BM_ScaleBuild*/N     — full-table build rate (routes/sec): the cost
 //     of standing up a snapshot from scratch, and the reason RouteJournal
 //     clones instead of rebuilding.
 //   * BM_ChurnPublish*/N   — journal flush latency vs table size: clone an
 //     N-route table, apply a coalesced 32-update delta, publish, reclaim.
-//     Clone cost dominates, which is the tree bitmap's arena-copy advantage.
+//     Clone cost dominates, which is the tree bitmap's arena-copy advantage
+//     over the pointer trie (one allocation per node).
 //   * BM_ChurnForwardPool  — the acceptance leg: a 2-worker RouterPool
 //     forwards flows covered by a stable /8 while the journal applies
 //     tens of thousands of updates/sec against a 100k-route tree-bitmap
@@ -27,8 +27,7 @@
 //     throughout, so any drop is a lost-route window in the RCU swap.
 //
 // Tables are built once per (engine, size) and shared across legs; at 1M
-// routes the builds (Dir24's block refreshes especially) dominate process
-// startup, not the measured loops.
+// routes the builds dominate process startup, not the measured loops.
 //
 // JSON trajectory: BENCH_fib_scale.json, refreshed via
 //   build/bench/bench_fib_scale --benchmark_min_time=0.2
@@ -37,17 +36,19 @@
 
 #include <chrono>
 #include <map>
-#include <utility>
 
 #include "bench_util.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/journal.hpp"
+#include "dip/fib/binary_trie.hpp"
 #include "dip/fib/synth.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 
 namespace dip::bench {
 namespace {
 
-using fib::LpmEngine;
+using fib::BinaryTrie;
+using fib::TreeBitmap;
 
 constexpr std::size_t kProbeCount = 4096;
 
@@ -65,21 +66,23 @@ const std::vector<fib::synth::SynthRoute<128>>& routes128(std::size_t count) {
   return slot;
 }
 
-const fib::Ipv4Lpm& table32(LpmEngine engine, std::size_t count) {
-  static std::map<std::pair<int, std::size_t>, std::unique_ptr<fib::Ipv4Lpm>> cache;
-  auto& slot = cache[{static_cast<int>(engine), count}];
+template <typename Table>
+const fib::Ipv4Lpm& table32(std::size_t count) {
+  static std::map<std::size_t, std::unique_ptr<fib::Ipv4Lpm>> cache;
+  auto& slot = cache[count];
   if (!slot) {
-    slot = fib::make_lpm<32>(engine);
+    slot = std::make_unique<Table>();
     for (const auto& r : routes32(count)) slot->insert(r.prefix, r.nh);
   }
   return *slot;
 }
 
-const fib::Ipv6Lpm& table128(LpmEngine engine, std::size_t count) {
-  static std::map<std::pair<int, std::size_t>, std::unique_ptr<fib::Ipv6Lpm>> cache;
-  auto& slot = cache[{static_cast<int>(engine), count}];
+template <typename Table>
+const fib::Ipv6Lpm& table128(std::size_t count) {
+  static std::map<std::size_t, std::unique_ptr<fib::Ipv6Lpm>> cache;
+  auto& slot = cache[count];
   if (!slot) {
-    slot = fib::make_lpm<128>(engine);
+    slot = std::make_unique<Table>();
     for (const auto& r : routes128(count)) slot->insert(r.prefix, r.nh);
   }
   return *slot;
@@ -102,9 +105,10 @@ void report_shape(benchmark::State& state, const fib::LpmTable<W>& table,
 // Lookup sweep
 // ---------------------------------------------------------------------------
 
-void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_scale_lookup(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  const fib::Ipv4Lpm& table = table32(engine, count);
+  const fib::Ipv4Lpm& table = table32<Table>(count);
   const auto probes = fib::synth::probes(routes32(count), kProbeCount, 7);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -115,26 +119,19 @@ void run_scale_lookup(benchmark::State& state, LpmEngine engine) {
 }
 
 void BM_ScaleLookupBinaryTrie(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kBinaryTrie);
-}
-void BM_ScaleLookupPatricia(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kPatricia);
-}
-void BM_ScaleLookupDir24(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kDir24);
+  run_scale_lookup<BinaryTrie<32>>(state);
 }
 void BM_ScaleLookupTreeBitmap(benchmark::State& state) {
-  run_scale_lookup(state, LpmEngine::kTreeBitmap);
+  run_scale_lookup<TreeBitmap<32>>(state);
 }
 
 BENCHMARK(BM_ScaleLookupBinaryTrie)->Arg(10'000)->Arg(100'000);
-BENCHMARK(BM_ScaleLookupPatricia)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
-BENCHMARK(BM_ScaleLookupDir24)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 BENCHMARK(BM_ScaleLookupTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
-void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_scale_lookup6(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  const fib::Ipv6Lpm& table = table128(engine, count);
+  const fib::Ipv6Lpm& table = table128<Table>(count);
   const auto probes = fib::synth::probes(routes128(count), kProbeCount, 7);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -144,25 +141,22 @@ void run_scale_lookup6(benchmark::State& state, LpmEngine engine) {
   report_shape(state, table, probes);
 }
 
-void BM_ScaleLookup6Patricia(benchmark::State& state) {
-  run_scale_lookup6(state, LpmEngine::kPatricia);
-}
 void BM_ScaleLookup6TreeBitmap(benchmark::State& state) {
-  run_scale_lookup6(state, LpmEngine::kTreeBitmap);
+  run_scale_lookup6<TreeBitmap<128>>(state);
 }
 
-BENCHMARK(BM_ScaleLookup6Patricia)->Arg(200'000);
 BENCHMARK(BM_ScaleLookup6TreeBitmap)->Arg(200'000);
 
 // ---------------------------------------------------------------------------
 // Build rate
 // ---------------------------------------------------------------------------
 
-void run_scale_build(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_scale_build(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto& routes = routes32(count);
   for (auto _ : state) {
-    auto table = fib::make_lpm<32>(engine);
+    auto table = std::make_unique<Table>();
     for (const auto& r : routes) table->insert(r.prefix, r.nh);
     benchmark::DoNotOptimize(table);
   }
@@ -170,18 +164,14 @@ void run_scale_build(benchmark::State& state, LpmEngine engine) {
                           static_cast<std::int64_t>(count));
 }
 
-void BM_ScaleBuildPatricia(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kPatricia);
-}
-void BM_ScaleBuildDir24(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kDir24);
+void BM_ScaleBuildBinaryTrie(benchmark::State& state) {
+  run_scale_build<BinaryTrie<32>>(state);
 }
 void BM_ScaleBuildTreeBitmap(benchmark::State& state) {
-  run_scale_build(state, LpmEngine::kTreeBitmap);
+  run_scale_build<TreeBitmap<32>>(state);
 }
 
-BENCHMARK(BM_ScaleBuildPatricia)->Arg(100'000);
-BENCHMARK(BM_ScaleBuildDir24)->Arg(100'000);
+BENCHMARK(BM_ScaleBuildBinaryTrie)->Arg(100'000);
 BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(100'000);
 
 // ---------------------------------------------------------------------------
@@ -190,11 +180,12 @@ BENCHMARK(BM_ScaleBuildTreeBitmap)->Arg(100'000);
 
 constexpr std::size_t kUpdatesPerFlush = 32;
 
-void run_churn_publish(benchmark::State& state, LpmEngine engine) {
+template <typename Table>
+void run_churn_publish(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
-  journal.seed(&table32(engine, count));
+  journal.seed(&table32<Table>(count));
 
   // Flap windows of existing routes: even iterations withdraw a fresh
   // window, odd iterations restore it — every delta is a real change.
@@ -228,14 +219,14 @@ void run_churn_publish(benchmark::State& state, LpmEngine engine) {
   }
 }
 
-void BM_ChurnPublishPatricia(benchmark::State& state) {
-  run_churn_publish(state, LpmEngine::kPatricia);
+void BM_ChurnPublishBinaryTrie(benchmark::State& state) {
+  run_churn_publish<BinaryTrie<32>>(state);
 }
 void BM_ChurnPublishTreeBitmap(benchmark::State& state) {
-  run_churn_publish(state, LpmEngine::kTreeBitmap);
+  run_churn_publish<TreeBitmap<32>>(state);
 }
 
-BENCHMARK(BM_ChurnPublishPatricia)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_ChurnPublishBinaryTrie)->Arg(10'000);
 BENCHMARK(BM_ChurnPublishTreeBitmap)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ void BM_ChurnForwardPool(benchmark::State& state) {
   auto tables = std::make_shared<ctrl::ControlTables>();
   ctrl::RouteJournal journal(tables);
   {
-    auto seeded = fib::make_lpm<32>(LpmEngine::kTreeBitmap);
+    auto seeded = std::make_unique<TreeBitmap<32>>();
     // The stable covering aggregate: all bench traffic is 10.x.y.z, so no
     // flap below can ever legitimately blackhole a packet.
     seeded->insert({fib::ipv4_from_u32(0x0A000000u), 8}, 1);

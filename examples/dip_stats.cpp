@@ -37,8 +37,9 @@
 #include "dip/core/ip.hpp"
 #include "dip/core/router_pool.hpp"
 #include "dip/ctrl/control_plane.hpp"
-#include "dip/fib/lpm.hpp"
+#include "dip/fib/binary_trie.hpp"
 #include "dip/fib/synth.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
 #include "dip/netsim/topology.hpp"
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
 
   // --- Pool: 2 workers sharing one route table, stats on every worker. ---
   auto registry = netsim::make_default_registry();
-  std::shared_ptr<fib::Ipv4Lpm> fib32 = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  std::shared_ptr<fib::Ipv4Lpm> fib32 = std::make_shared<fib::TreeBitmap<32>>();
   for (std::size_t i = 0; i < kPrefixes; ++i) {
     fib32->insert(
         {fib::ipv4_from_u32(0x0A000000u | (static_cast<std::uint32_t>(i) << 8)), 24},
@@ -327,23 +328,21 @@ int main(int argc, char** argv) {
   }
 
   // --- 5. The FIB engine catalogue over one synthesized table ------------
-  // --- (docs/FIB.md): every LpmEngine loaded with the same realistic -----
-  // --- 20k-route distribution, reporting footprint and lookup-depth ------
-  // --- quantiles — the dip_fib_* series an operator would watch. ---------
+  // --- (docs/FIB.md): the production engine and the reference loaded ----
+  // --- with the same realistic 20k-route distribution, reporting ---------
+  // --- footprint and lookup-depth quantiles — the dip_fib_* series an ----
+  // --- operator would watch. ----------------------------------------------
   constexpr std::size_t kFibRoutes = 20000;
   constexpr std::size_t kFibProbes = 512;
   struct FibEngineRow {
     const char* name;
-    fib::LpmEngine engine;
     std::unique_ptr<fib::Ipv4Lpm> table;
     double depth_p50 = 0.0;
     double depth_p99 = 0.0;
   };
   std::vector<FibEngineRow> fib_engines;
-  fib_engines.push_back({"binary_trie", fib::LpmEngine::kBinaryTrie, nullptr});
-  fib_engines.push_back({"patricia", fib::LpmEngine::kPatricia, nullptr});
-  fib_engines.push_back({"dir24", fib::LpmEngine::kDir24, nullptr});
-  fib_engines.push_back({"tree_bitmap", fib::LpmEngine::kTreeBitmap, nullptr});
+  fib_engines.push_back({"binary_trie", std::make_unique<fib::BinaryTrie<32>>()});
+  fib_engines.push_back({"tree_bitmap", std::make_unique<fib::TreeBitmap<32>>()});
   {
     const auto fib_routes = fib::synth::ipv4_table(kFibRoutes, 0xD1B);
     const auto fib_probes = fib::synth::probes(fib_routes, kFibProbes, 7);
@@ -351,7 +350,6 @@ int main(int argc, char** argv) {
                 "catalogue (docs/FIB.md):\n",
                 fib_routes.size(), fib_probes.size());
     for (auto& row : fib_engines) {
-      row.table = fib::make_lpm<32>(row.engine);
       for (const auto& r : fib_routes) row.table->insert(r.prefix, r.nh);
       std::vector<std::size_t> depths;
       depths.reserve(fib_probes.size());

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification pipeline: release build + tests + benches, then an
+# Full verification pipeline: release build + tests + benches + the
+# repository benchmark's selftest (perfbench/), then an
 # ASan/UBSan build + tests. This is what CI should run.
 #
 #   --fast   docs check + release build + the unit/property/ctrl/fib/mesh/
@@ -74,6 +75,12 @@ for e in build/examples/*; do
   "$e" >/dev/null
   echo "  $(basename "$e") ok"
 done
+
+echo "== repository benchmark selftest (perfbench/, BENCHMARK.json) =="
+# Outside ctest: perfbench is its own CMake package (Release, built into
+# .bench_build/) and --selftest checks the benchmark's digests, quantile
+# arithmetic and that every oracle rejects a corrupted result.
+python3 perfbench/run.py --selftest
 
 echo "== sanitizer build (ASan + UBSan) =="
 cmake -B build-san -G Ninja -DCMAKE_BUILD_TYPE=Debug \

@@ -699,13 +699,6 @@ void Router::wave_match(OpKey key, OpModule* module, std::size_t pos,
       continue;
     }
     ++misses;
-    if (prefetch_ && f32 != nullptr) {
-      // Pull the FIB's first dependent load (DIR-24-8 base slab) while the
-      // module sets up its walk.
-      fib::Ipv4Addr addr{};
-      std::memcpy(addr.bytes.data(), slices[k], 4);
-      f32->prefetch(addr);
-    }
     const FnTriple& fn = views_[p].fns()[pos];
     OpContext ctx;
     ctx.locations = views_[p].locations();

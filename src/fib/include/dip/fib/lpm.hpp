@@ -1,9 +1,10 @@
 // Longest-prefix-match table interface.
 //
-// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space;
-// the engines behind this interface are the subject of ablation A3
-// (bench_fib) and the scale sweep (bench_fib_scale): binary trie vs
-// Patricia trie vs DIR-24-8 vs tree bitmap. docs/FIB.md is the catalogue.
+// F_32_match, F_128_match and F_FIB all reduce to LPM over some key space.
+// Two engines implement this interface: TreeBitmap (tree_bitmap.hpp), the
+// one production code builds, and BinaryTrie (binary_trie.hpp), the
+// reference the tests compare against. Ablation A3 (bench_fib) and the
+// scale sweep (bench_fib_scale) measure both; docs/FIB.md is the catalogue.
 //
 // The base class tracks a route-table *generation*: every mutation bumps it,
 // and the router's flow cache stamps each memoized verdict with the
@@ -42,18 +43,13 @@ class LpmTable {
   /// Longest-prefix match.
   [[nodiscard]] virtual std::optional<NextHop> lookup(const Address<W>& addr) const = 0;
 
-  /// Hint that lookup(addr) is imminent: engines with a predictable first
-  /// touch (DIR-24-8's base slab) pull it into cache; default is a no-op.
-  /// The burst pipeline issues these one packet ahead on flow-cache misses.
-  virtual void prefetch(const Address<W>& addr) const noexcept { (void)addr; }
-
   /// Number of routes installed.
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  /// Resident bytes of the structure (nodes, slabs, shadow state — the
-  /// number bench_fib_scale divides by size() for bytes/prefix). Pointer
-  /// engines walk their nodes, so this is O(size); call it off the fast
-  /// path (exposition, bench counters).
+  /// Resident bytes of the structure (nodes, arenas — the number
+  /// bench_fib_scale divides by size() for bytes/prefix). The pointer trie
+  /// walks its nodes, so this is O(size); call it off the fast path
+  /// (exposition, bench counters).
   [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
 
   /// Nodes (dependent loads) a lookup of `addr` touches — the
@@ -85,22 +81,6 @@ class LpmTable {
  private:
   std::atomic<std::uint64_t> generation_{0};
 };
-
-enum class LpmEngine : std::uint8_t {
-  kBinaryTrie,   ///< one node per prefix bit — simple, slow, memory-hungry
-  kPatricia,     ///< path-compressed trie — the default at small scale
-  kDir24,        ///< DIR-24-8 flat lookup (IPv4 only) — fastest lookup, but a
-                 ///< fixed ~64 MiB slab and O(block) updates; clone cost makes
-                 ///< it a poor fit for the journal's copy-on-write churn path
-  kTreeBitmap,   ///< stride-4 bitmap-compressed trie — the Internet-scale
-                 ///< choice: lowest bytes/prefix, near-Dir24 lookups at 1M
-                 ///< routes, and memcpy-cheap clone() for churn publishing
-                 ///< (see docs/FIB.md for the selection guide)
-};
-
-/// Factory. kDir24 is only valid for W == 32.
-template <std::size_t W>
-[[nodiscard]] std::unique_ptr<LpmTable<W>> make_lpm(LpmEngine engine);
 
 using Ipv4Lpm = LpmTable<32>;
 using Ipv6Lpm = LpmTable<128>;

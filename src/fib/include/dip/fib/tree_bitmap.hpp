@@ -1,4 +1,5 @@
-// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the scale engine.
+// Tree bitmap (Eatherton/Dixon/Varghese) compressed LPM — the production
+// engine behind every FIB the router builds (IPv4 and IPv6).
 //
 // Multibit trie with stride 4 where each node is 12 bytes: a 15-bit
 // *internal* bitmap holding the prefixes that end inside the node (lengths
@@ -10,16 +11,17 @@
 // arithmetic per level buys ~an order of magnitude less memory than the
 // pointer tries at Internet scale, and a table that clones by vector copy.
 //
-// That last property is what makes this the engine of choice under churn:
+// That last property is what makes this the engine for churn:
 // RouteJournal::flush() clones the live snapshot before applying deltas, so
-// copy cost *is* publish latency. Cloning here is three memcpy-ish vector
-// copies instead of a million node allocations (see docs/FIB.md and
-// bench_fib_scale's churn leg).
+// copy cost *is* publish latency. Cloning here is two vector copies plus
+// two fixed arrays of free-list heads instead of a million node allocations
+// (see docs/FIB.md and bench_fib_scale's churn leg).
 //
 // Updates rewrite one child run and one result run per affected node
-// (allocate run of n±1, copy, recycle the old run through a per-size free
-// list). That makes inserts slower than Patricia's pointer splice but keeps
-// the arenas compact across flap-heavy workloads without a compaction pass.
+// (allocate run of n±1, copy, recycle the old run). Freed runs are kept on
+// per-size free lists threaded through the arenas themselves — the "next"
+// link lives in the freed run's first slot — so recycling never touches the
+// heap and a clone carries its free lists for free.
 #pragma once
 
 #include <array>
@@ -76,28 +78,11 @@ class TreeBitmap final : public LpmTable<W> {
     return best;
   }
 
-  /// Pull the root's child for addr's first stride — the first load of the
-  /// walk that can miss (the root node itself is always hot).
-  void prefetch(const Address<W>& addr) const noexcept override {
-#if defined(__GNUC__) || defined(__clang__)
-    const Node& root = nodes_[0];
-    const std::uint32_t v = stride_at(addr, 0);
-    if (root.external & (1u << v)) {
-      __builtin_prefetch(&nodes_[root.child_base + rank16(root.external, v)], 0, 2);
-    }
-#else
-    (void)addr;
-#endif
-  }
-
   [[nodiscard]] std::size_t size() const override { return size_; }
 
   [[nodiscard]] std::size_t memory_bytes() const override {
-    std::size_t free_lists = 0;
-    for (const auto& fl : free_node_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
-    for (const auto& fl : free_result_runs_) free_lists += fl.capacity() * sizeof(std::uint32_t);
     return sizeof(*this) + nodes_.capacity() * sizeof(Node) +
-           results_.capacity() * sizeof(NextHop) + free_lists;
+           results_.capacity() * sizeof(NextHop);
   }
 
   [[nodiscard]] std::size_t lookup_depth(const Address<W>& addr) const override {
@@ -205,13 +190,19 @@ class TreeBitmap final : public LpmTable<W> {
   // -- arena run management ------------------------------------------------
   // Runs are recycled by exact size; no splitting or coalescing. Sizes are
   // bounded (<=16 nodes, <=15 results) so fragmentation is bounded too.
+  // Each size has one free-list head; a free run's first slot links to the
+  // next free run of its size (child_base for nodes, the NextHop itself for
+  // results). Freed runs are unreachable from the root, so the link slots
+  // are never read by a lookup.
+
+  static constexpr std::uint32_t kNoRun = 0xffffffffu;
 
   std::uint32_t alloc_nodes(std::uint32_t count) {
-    auto& fl = free_node_runs_[count];
-    if (!fl.empty()) {
-      const std::uint32_t base = fl.back();
-      fl.pop_back();
-      return base;
+    std::uint32_t& head = free_node_head_[count];
+    if (head != kNoRun) {
+      const std::uint32_t base = head;
+      head = nodes_[base].child_base;
+      return base;  // every slot is overwritten by the caller
     }
     const auto base = static_cast<std::uint32_t>(nodes_.size());
     nodes_.resize(nodes_.size() + count);
@@ -220,15 +211,16 @@ class TreeBitmap final : public LpmTable<W> {
 
   void free_nodes(std::uint32_t base, std::uint32_t count) {
     for (std::uint32_t i = 0; i < count; ++i) nodes_[base + i] = Node{};
-    free_node_runs_[count].push_back(base);
+    nodes_[base].child_base = free_node_head_[count];
+    free_node_head_[count] = base;
   }
 
   std::uint32_t alloc_results(std::uint32_t count) {
-    auto& fl = free_result_runs_[count];
-    if (!fl.empty()) {
-      const std::uint32_t base = fl.back();
-      fl.pop_back();
-      return base;
+    std::uint32_t& head = free_result_head_[count];
+    if (head != kNoRun) {
+      const std::uint32_t base = head;
+      head = results_[base];
+      return base;  // every slot is overwritten by the caller
     }
     const auto base = static_cast<std::uint32_t>(results_.size());
     results_.resize(results_.size() + count);
@@ -236,8 +228,15 @@ class TreeBitmap final : public LpmTable<W> {
   }
 
   void free_results(std::uint32_t base, std::uint32_t count) {
-    for (std::uint32_t i = 0; i < count; ++i) results_[base + i] = kNoRoute;
-    free_result_runs_[count].push_back(base);
+    for (std::uint32_t i = 1; i < count; ++i) results_[base + i] = kNoRoute;
+    results_[base] = free_result_head_[count];
+    free_result_head_[count] = base;
+  }
+
+  static constexpr auto no_runs() noexcept {
+    std::array<std::uint32_t, 17> heads{};
+    heads.fill(kNoRun);
+    return heads;
   }
 
   /// Child of nodes_[pi] for branch v, creating it (and rewriting the
@@ -313,8 +312,9 @@ class TreeBitmap final : public LpmTable<W> {
 
   std::vector<Node> nodes_;       // index 0 = root
   std::vector<NextHop> results_;
-  std::array<std::vector<std::uint32_t>, 17> free_node_runs_;    // by run size
-  std::array<std::vector<std::uint32_t>, 16> free_result_runs_;  // by run size
+  // Free-list heads indexed by run size (kNoRun = empty).
+  std::array<std::uint32_t, 17> free_node_head_ = no_runs();
+  std::array<std::uint32_t, 17> free_result_head_ = no_runs();
   std::size_t size_ = 0;
 };
 

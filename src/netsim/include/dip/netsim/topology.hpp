@@ -31,7 +31,7 @@ struct LinearPath {
     LinkParams link = {},
     core::DispatchStrategy strategy = core::DispatchStrategy::kLoop);
 
-/// A RouterEnv with Patricia FIBs, a PIT, and node id/secret derived from
+/// A RouterEnv with tree-bitmap FIBs, a PIT, and node id/secret derived from
 /// `node_id` — the baseline environment most tests want.
 [[nodiscard]] core::RouterEnv make_basic_env(std::uint32_t node_id);
 

@@ -563,10 +563,10 @@ void apply_churn(std::size_t step, ctrl::RouteJournal& journal,
                                  << " must publish exactly the fib32 snapshot";
 }
 
-/// The full churn schedule against one LPM engine choice: the seed tables
-/// (and therefore every journal-built clone) use `lpm_engine`, so the same
-/// byte-identity obligations certify each engine behind the RCU path.
-void run_churn_conformance(fib::LpmEngine lpm_engine) {
+/// The full churn schedule: the seed tables (and therefore every
+/// journal-built clone) are the production engine, so the byte-identity
+/// obligations certify it behind the RCU path.
+TEST(Conformance, ChurnScheduleStaysConformantAcrossEngines) {
   constexpr std::size_t kChunks = 8;
   constexpr std::size_t kChunkLen = 512;  // kBatch-aligned
   static_assert(kChunkLen % w::kBatch == 0);
@@ -579,7 +579,7 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
 
   for (std::size_t e = 0; e < std::size(kinds); ++e) {
     const EngineKind kind = kinds[e];
-    SharedTables tables = make_shared_tables(lpm_engine);
+    SharedTables tables = make_shared_tables();
     const auto journal = attach_control(tables);
     const std::shared_ptr<core::OpRegistry> registry = make_registry(false);
     const auto engine = make_engine(kind, registry.get(),
@@ -651,17 +651,6 @@ void run_churn_conformance(fib::LpmEngine lpm_engine) {
           << " at packet " << i << " under identical churn";
     }
   }
-}
-
-TEST(Conformance, ChurnScheduleStaysConformantAcrossEngines) {
-  run_churn_conformance(fib::LpmEngine::kPatricia);
-}
-
-// Same schedule with the compressed tree-bitmap FIB swapped in via the
-// RouterEnv seed tables (ISSUE 7): certifies the scale engine's lookup and
-// copy-on-write clone semantics end to end under live churn.
-TEST(Conformance, ChurnScheduleStaysConformantOnTreeBitmap) {
-  run_churn_conformance(fib::LpmEngine::kTreeBitmap);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "dip/ctrl/journal.hpp"
 #include "dip/ctrl/snapshot.hpp"
 #include "dip/fib/address.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/netsim/topology.hpp"
 
 namespace dip {
@@ -162,7 +163,7 @@ TEST(Journal, FlushPublishesOnlyDirtyTables) {
 }
 
 TEST(Journal, SeedClonesStaticTablesDeeply) {
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = std::make_unique<fib::TreeBitmap<32>>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
 
   auto tables = std::make_shared<ControlTables>();
@@ -378,7 +379,7 @@ TEST(ControlPlane, PublishIntervalRateLimitsButConverges) {
 TEST(CtrlRace, ConcurrentChurnAndForwardingIsCleanAndReclaims) {
   auto tables = std::make_shared<ControlTables>();
   RouteJournal journal(tables);
-  const auto seed_fib = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  const auto seed_fib = std::make_unique<fib::TreeBitmap<32>>();
   seed_fib->insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   journal.seed(seed_fib.get());
 

@@ -7,8 +7,7 @@
 #include "dip/bytes/packet.hpp"
 #include "dip/core/registry.hpp"
 #include "dip/core/ip.hpp"
-#include "dip/fib/dir24.hpp"
-#include "dip/fib/patricia.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/netfence/netfence.hpp"
 #include "dip/netsim/event_loop.hpp"
 #include "dip/netsim/topology.hpp"
@@ -52,46 +51,27 @@ TEST(Edge, EmptyLoopWithFiniteDeadlineAdvancesClock) {
   EXPECT_EQ(loop2.now(), 0u);
 }
 
-// ---------- Patricia structural collapse ----------
+// ---------- tree bitmap path pruning ----------
 
-TEST(Edge, PatriciaMiddleRemovalCollapsesJunctions) {
-  fib::PatriciaTrie<32> trie;
+TEST(Edge, TreeBitmapMiddleRemovalKeepsNestedRoutes) {
+  fib::TreeBitmap<32> trie;
   // Nested chain: /8 -> /16 -> /24, then remove the middle.
   trie.insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
   trie.insert({fib::ipv4_from_u32(0x0A010000), 16}, 2);
   trie.insert({fib::ipv4_from_u32(0x0A010100), 24}, 3);
   EXPECT_EQ(trie.remove({fib::ipv4_from_u32(0x0A010000), 16}).value(), 2u);
   EXPECT_EQ(trie.size(), 2u);
-  // Both remaining routes still resolve through the collapsed structure.
+  // Both remaining routes still resolve through the emptied middle node.
   EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A010105)).value(), 3u);
   EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A020000)).value(), 1u);
-  // Removing siblings down to empty must leave a usable trie.
+  // Removing down to empty prunes every path node; the trie stays usable.
   trie.remove({fib::ipv4_from_u32(0x0A010100), 24});
   trie.remove({fib::ipv4_from_u32(0x0A000000), 8});
   EXPECT_EQ(trie.size(), 0u);
+  EXPECT_EQ(trie.lookup_depth(fib::ipv4_from_u32(0x0A010105)), 1u) << "path not pruned";
   EXPECT_FALSE(trie.lookup(fib::ipv4_from_u32(0x0A010105)));
   trie.insert({fib::ipv4_from_u32(0x0A000000), 8}, 7);
   EXPECT_EQ(trie.lookup(fib::ipv4_from_u32(0x0A123456)).value(), 7u);
-}
-
-// ---------- DIR-24-8 extension recompute on removal ----------
-
-TEST(Edge, Dir24RemoveInsideExtensionBlockRecomputes) {
-  fib::Dir24 table;
-  // /8 covers the block; /26 spills the block into an extension table.
-  table.insert({fib::ipv4_from_u32(0x0A000000), 8}, 1);
-  table.insert({fib::ipv4_from_u32(0x0A000040), 26}, 2);
-  EXPECT_EQ(table.lookup(fib::ipv4_from_u32(0x0A000041)).value(), 2u);
-  EXPECT_EQ(table.lookup(fib::ipv4_from_u32(0x0A000001)).value(), 1u);
-
-  // Removing the /26 must re-derive every sub-entry from the shadow trie.
-  EXPECT_EQ(table.remove({fib::ipv4_from_u32(0x0A000040), 26}).value(), 2u);
-  EXPECT_EQ(table.lookup(fib::ipv4_from_u32(0x0A000041)).value(), 1u);
-
-  // And removing the /8 empties the (still extended) block completely.
-  table.remove({fib::ipv4_from_u32(0x0A000000), 8});
-  EXPECT_FALSE(table.lookup(fib::ipv4_from_u32(0x0A000041)));
-  EXPECT_EQ(table.size(), 0u);
 }
 
 // ---------- capability parsing rejects duplicates ----------

@@ -5,6 +5,7 @@
 
 #include "dip/bootstrap/dhcp.hpp"
 #include "dip/core/ip.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/legacy/tunnel.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/topology.hpp"
@@ -210,7 +211,7 @@ TEST(IncrementalDeployment, DipIslandsAcrossLegacyCore) {
   legacy::Ipv6Tunnel left(left_addr, right_addr);
   legacy::Ipv6Tunnel right(right_addr, left_addr);
 
-  legacy::Ipv6Forwarder core_router(fib::make_lpm<128>(fib::LpmEngine::kPatricia));
+  legacy::Ipv6Forwarder core_router(std::make_unique<fib::TreeBitmap<128>>());
   core_router.table().insert({fib::parse_ipv6("2001:db8:bbbb::").value(), 48}, 1);
 
   // The DIP packet to ship across.

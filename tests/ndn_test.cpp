@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "dip/core/router.hpp"
+#include "dip/fib/tree_bitmap.hpp"
 #include "dip/ndn/name_codec.hpp"
 #include "dip/ndn/ndn.hpp"
 #include "dip/netsim/dip_node.hpp"
@@ -46,7 +47,7 @@ TEST(NameCodec, DistinctNamesUsuallyDistinct) {
 }
 
 TEST(NameCodec, LpmOverCodesMatchesComponentSemantics) {
-  auto fib_table = fib::make_lpm<32>(fib::LpmEngine::kPatricia);
+  auto fib_table = std::make_unique<fib::TreeBitmap<32>>();
   install_name_route(*fib_table, Name::parse("/org"), 1);
   install_name_route(*fib_table, Name::parse("/org/hotnets"), 2);
 
