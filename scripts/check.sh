@@ -113,7 +113,8 @@ echo "== pipeline + stats + chaos + differential + conformance + ctrl + fib-chur
 # suite (docs/FIB.md) — full fib_test under TSan would mostly re-run
 # single-threaded engine oracles at 10x cost. mesh_test includes the
 # real-UDP two-thread router exchange (docs/MESH.md) — the thread-
-# confinement contract's race probe. dtn_test rides along for the custody
+# confinement contract's race probe, each thread owning its own event loop
+# and epoll fd — and the MeshEventLoopUdp epoll tests. dtn_test rides along for the custody
 # conformance sweep over the pool engine (docs/DTN.md).
 ctest --test-dir build-tsan \
   -R "pipeline_test|stats_test|chaos_test|differential_test|conformance_test|ctrl_test|fib_churn_test|mesh_test|dtn_test" \

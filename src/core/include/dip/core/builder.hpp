@@ -9,6 +9,8 @@
 // wrappers over it.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,9 +39,12 @@ class HeaderBuilder {
 
   /// Append `field` to the locations block; returns its bit offset.
   std::uint16_t add_location(std::span<const std::uint8_t> field) {
-    const auto offset = static_cast<std::uint16_t>(header_.locations.size() * 8);
-    header_.locations.insert(header_.locations.end(), field.begin(), field.end());
-    return offset;
+    const std::size_t at = header_.locations.size();
+    // resize + copy rather than a range insert: GCC 12 inlines the latter's
+    // empty-vector move into a false -Wstringop-overflow.
+    header_.locations.resize(at + field.size());
+    std::copy(field.begin(), field.end(), header_.locations.begin() + static_cast<std::ptrdiff_t>(at));
+    return static_cast<std::uint16_t>(at * 8);
   }
 
   /// Append `n` zero bytes to the locations block; returns their bit offset.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 namespace dip::ctrl {
 
@@ -153,7 +152,6 @@ void ControlPlane::recompute() {
 
   // Desired route set per node across all destinations.
   std::map<netsim::NodeId, std::map<fib::Prefix<32>, fib::NextHop>> desired;
-  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
   for (const Destination& dest : destinations_) {
     if (!managed_.contains(dest.anchor)) continue;
     // BFS from the anchor (hop-count metric).
@@ -180,22 +178,16 @@ void ControlPlane::recompute() {
       const auto dit = dist.find(id);
       if (dit == dist.end()) continue;  // unreachable: no route (blackhole)
       // Next hop: the lowest-id usable neighbor strictly closer to the
-      // anchor; the route's next hop is this node's face toward it.
-      netsim::NodeId best_nb = 0;
-      netsim::FaceId best_face = 0;
-      std::size_t best = kUnreached;
+      // anchor (adj lists are sorted, so the first one found); the route's
+      // next hop is this node's face toward it.
       const auto ait = adj.find(id);
       if (ait == adj.end()) continue;
       for (const auto& [nb, face] : ait->second) {
         const auto nit = dist.find(nb);
         if (nit == dist.end() || nit->second + 1 != dit->second) continue;
-        if (best == kUnreached) {
-          best_nb = nb;
-          best_face = face;
-          best = nit->second;
-        }
+        desired[id][dest.prefix] = face;
+        break;
       }
-      if (best != kUnreached) desired[id][dest.prefix] = best_face;
     }
   }
 

@@ -1,5 +1,5 @@
-// MeshEventLoop — the reactor under every mesh process: poll(2) over
-// nonblocking UDP sockets plus a deterministic timer queue.
+// MeshEventLoop — the reactor under every mesh process: one level-triggered
+// epoll set over nonblocking UDP sockets plus a deterministic timer queue.
 //
 // netsim's EventLoop advances a simulated clock; here time is real, so the
 // loop's only promise is *ordering* determinism: timers fire strictly by
@@ -8,14 +8,23 @@
 // effect at the next dispatch round — a handler can retire its own socket
 // without invalidating the round in progress.
 //
+// A round costs what is ready, not what is registered: one epoll_wait(0)
+// names the ready kernel sockets (by SocketId, which rises with
+// registration order), and only those handlers run. In-memory sockets
+// (fd() < 0) have no kernel handle and are asked poll_readable() at their
+// turn instead.
+//
 // Tests run the loop against a ManualClock and MockFabric sockets: no real
 // sleeps, no kernel, bit-for-bit reproducible. run_ready()/run_until_idle()
 // are the non-blocking stepping API those tests (and in-process drivers)
-// use; run() is the blocking production entry that parks in poll(2) until
-// the next timer or readable fd.
+// use; run() is the blocking production entry that parks in epoll_pwait2
+// until the next timer (to the nanosecond) or readable fd.
 #pragma once
 
+#include <sys/epoll.h>
+
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -56,7 +65,7 @@ class ManualClock final : public MeshClock {
 };
 
 struct LoopStats {
-  std::uint64_t wakeups = 0;        ///< poll()/run_ready rounds executed
+  std::uint64_t wakeups = 0;        ///< run_ready rounds executed
   std::uint64_t timers_fired = 0;
   std::uint64_t reads_dispatched = 0;  ///< socket handler invocations
 };
@@ -67,17 +76,34 @@ class MeshEventLoop {
   using SocketId = std::uint32_t;
   using TimerId = std::uint64_t;
 
+  /// Longest single park: run() re-checks stop()/deadline at least this
+  /// often even with nothing due.
+  static constexpr std::uint64_t kMaxParkNs = 1'000'000'000;
+
   /// `clock` must outlive the loop; nullptr installs an owned SteadyClock.
+  /// Throws std::system_error if the epoll set cannot be created.
   explicit MeshEventLoop(MeshClock* clock = nullptr);
+  ~MeshEventLoop();
+
+  MeshEventLoop(const MeshEventLoop&) = delete;
+  MeshEventLoop& operator=(const MeshEventLoop&) = delete;
+
+  /// The park for a wait of `wait_ns`: exact to the nanosecond, capped at
+  /// kMaxParkNs.
+  [[nodiscard]] static timespec park_timeout(std::uint64_t wait_ns) noexcept;
 
   [[nodiscard]] std::uint64_t now_ns() const { return clock_->now_ns(); }
   [[nodiscard]] MeshClock& clock() noexcept { return *clock_; }
 
   /// Register `socket` with a readability handler. The handler is expected
   /// to drain the socket (recv until kAgain) — level semantics: it is
-  /// re-invoked on the next round while the socket stays readable.
+  /// re-invoked on the next round while the socket stays readable. A
+  /// kernel socket joins the epoll set at once (std::system_error if the
+  /// kernel refuses it, e.g. the same socket registered twice).
   SocketId add_socket(DatagramSocket& socket, Callback on_readable);
   /// Safe from inside any callback (including the socket's own handler).
+  /// The socket leaves the epoll set at once and is never dispatched again;
+  /// its entry is compacted away after the round in progress.
   void remove_socket(SocketId id);
 
   TimerId schedule_at(std::uint64_t at_ns, Callback fn);
@@ -97,8 +123,12 @@ class MeshEventLoop {
 
   /// Blocking loop: dispatch until stop() or `deadline_ns` (absolute clock
   /// time; ~0 = run until stopped or nothing left to wait for). Parks in
-  /// poll(2) between rounds; in-memory sockets cap the park at zero while
-  /// readable. Returns total dispatches.
+  /// epoll_pwait2 between rounds (ppoll when no kernel socket is
+  /// registered) for exactly the time to the next timer or the deadline;
+  /// a readable in-memory socket means no park at all. While it runs, the
+  /// calling thread's timer slack is 1 ns (restored on return), so the
+  /// kernel does not stretch a park by its default 50 us. Returns total
+  /// dispatches.
   std::size_t run(std::uint64_t deadline_ns = ~std::uint64_t{0});
   void stop() noexcept { stopped_ = true; }
 
@@ -132,19 +162,33 @@ class MeshEventLoop {
     SocketId id;
     DatagramSocket* socket;
     Callback on_readable;
+    int fd;  ///< kernel handle in the epoll set; < 0 = in-memory socket
     bool alive = true;
   };
 
   std::size_t fire_due_timers();
+  /// Fill ready_ with the ready kernel sockets' ids, ascending.
+  void collect_ready();
   std::size_t dispatch_readable();
   void compact_sources();
+  /// True if a live in-memory socket has a datagram waiting.
+  [[nodiscard]] bool memory_readable() const;
   /// Nanoseconds until the next pending timer (~0 = none).
   [[nodiscard]] std::uint64_t ns_to_next_timer() const;
 
   std::unique_ptr<MeshClock> owned_clock_;
   MeshClock* clock_;
-  std::vector<Source> sources_;
+  int epoll_fd_ = -1;
+  std::vector<Source> sources_;  ///< registration (= SocketId) order
+  std::size_t kernel_sources_ = 0;  ///< live sources in the epoll set
+  std::size_t memory_sources_ = 0;  ///< live in-memory sources
   bool dispatching_ = false;  ///< defer compaction while iterating sources_
+  /// Round scratch, kept so that a round allocates nothing: epoll's event
+  /// buffer (one slot per kernel socket), this round's ready ids, and the
+  /// timers due this round.
+  std::vector<epoll_event> events_;
+  std::vector<SocketId> ready_;
+  std::vector<Timer> due_;
   SocketId next_socket_id_ = 1;
   TimerId next_timer_id_ = 1;
   std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;

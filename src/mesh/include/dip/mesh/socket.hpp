@@ -1,5 +1,7 @@
 // Datagram socket seam: real nonblocking UDP on loopback, and an in-memory
-// fabric for deterministic unit tests.
+// fabric for deterministic unit tests. Readiness is not the socket's
+// business for real UDP: MeshEventLoop watches fd() in its epoll set. Only
+// in-memory sockets, which have no fd, answer poll_readable().
 //
 // The mesh never blocks in socket calls: sends that would block are
 // surfaced as kAgain (the caller accounts them — a full transmit queue is a
@@ -46,10 +48,12 @@ class DatagramSocket {
  public:
   virtual ~DatagramSocket() = default;
 
-  /// Poll handle; < 0 for in-memory sockets (the event loop then asks
-  /// poll_readable() instead of poll(2)).
+  /// Kernel handle, watched by the event loop's epoll set; < 0 for
+  /// in-memory sockets, which the loop asks poll_readable() instead.
   [[nodiscard]] virtual int fd() const noexcept = 0;
-  [[nodiscard]] virtual bool poll_readable() const noexcept = 0;
+  /// Readiness of an in-memory socket (fd() < 0). A kernel socket is never
+  /// asked: its readiness comes from epoll, so it keeps this default.
+  [[nodiscard]] virtual bool poll_readable() const noexcept { return false; }
   [[nodiscard]] virtual Endpoint local_endpoint() const noexcept = 0;
 
   [[nodiscard]] virtual IoStatus send_to(const Endpoint& to,
@@ -71,7 +75,6 @@ class UdpSocket final : public DatagramSocket {
   UdpSocket& operator=(const UdpSocket&) = delete;
 
   [[nodiscard]] int fd() const noexcept override { return fd_; }
-  [[nodiscard]] bool poll_readable() const noexcept override;
   [[nodiscard]] Endpoint local_endpoint() const noexcept override { return local_; }
 
   [[nodiscard]] IoStatus send_to(const Endpoint& to,

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,6 +24,13 @@ namespace {
 
 [[nodiscard]] Endpoint from_sockaddr(const sockaddr_in& sa) noexcept {
   return {ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
+}
+
+/// A receive that delivered nothing: just the status.
+[[nodiscard]] RecvOutcome status_only(IoStatus status) noexcept {
+  RecvOutcome out;
+  out.status = status;
+  return out;
 }
 
 void raise_buffer(int fd, int option) noexcept {
@@ -59,11 +65,6 @@ UdpSocket::~UdpSocket() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool UdpSocket::poll_readable() const noexcept {
-  pollfd p{fd_, POLLIN, 0};
-  return ::poll(&p, 1, 0) > 0 && (p.revents & POLLIN) != 0;
-}
-
 IoStatus UdpSocket::send_to(const Endpoint& to,
                             std::span<const std::uint8_t> bytes) {
   const sockaddr_in sa = to_sockaddr(to);
@@ -88,9 +89,9 @@ RecvOutcome UdpSocket::recv_from(std::span<std::uint8_t> buf) {
       ::recvfrom(fd_, buf.data(), buf.size(), MSG_TRUNC,
                  reinterpret_cast<sockaddr*>(&sa), &slen);
   if (n < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return {.status = IoStatus::kAgain};
-    if (errno == ECONNREFUSED) return {.status = IoStatus::kAgain};  // stale ICMP error
-    return {.status = IoStatus::kError};
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return status_only(IoStatus::kAgain);
+    if (errno == ECONNREFUSED) return status_only(IoStatus::kAgain);  // stale ICMP error
+    return status_only(IoStatus::kError);
   }
   RecvOutcome out;
   out.status = IoStatus::kOk;
@@ -126,9 +127,9 @@ IoStatus MockSocket::send_to(const Endpoint& to,
 RecvOutcome MockSocket::recv_from(std::span<std::uint8_t> buf) {
   if (spurious_) {
     spurious_ = false;
-    return {.status = IoStatus::kAgain};
+    return status_only(IoStatus::kAgain);
   }
-  if (inbox_->queue.empty()) return {.status = IoStatus::kAgain};
+  if (inbox_->queue.empty()) return status_only(IoStatus::kAgain);
   MockFabric::Datagram d = std::move(inbox_->queue.front());
   inbox_->queue.pop_front();
   RecvOutcome out;

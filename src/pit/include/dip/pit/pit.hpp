@@ -6,12 +6,14 @@
 //
 // Keys are 64-bit name codes (the data plane carries a 32-bit compressed
 // name, § 4.1; 64 bits leaves headroom for wider name fields). Entries
-// expire after an interest lifetime; expiry is amortized via a lazy min-heap.
+// expire after an interest lifetime; expiry is amortized via a lazy min-heap
+// whose stale items (consumed or refreshed entries) are bounded: the heap
+// is cleared when the table empties and compacted in O(n) once it holds
+// more than 4 x size() + 4096 items.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -56,6 +58,11 @@ class Pit {
   std::size_t expire(SimTime now);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  /// Expiry-heap items, stale ones included; never above heap_bound().
+  [[nodiscard]] std::size_t heap_size() const noexcept { return expiry_heap_.size(); }
+  [[nodiscard]] std::size_t heap_bound() const noexcept {
+    return 4 * entries_.size() + kHeapSlack;
+  }
 
  private:
   struct Entry {
@@ -71,9 +78,17 @@ class Pit {
     }
   };
 
+  static constexpr std::size_t kHeapSlack = 4096;
+
+  void push_expiry(SimTime expiry, std::uint64_t name_code);
+  /// Keep the heap within heap_bound(): empty it with the table, compact it
+  /// (drop stale items) once it grows past the bound.
+  void bound_heap();
+
   Config config_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> expiry_heap_;
+  /// Min-heap by expiry (std::push_heap/pop_heap with std::greater<>).
+  std::vector<HeapItem> expiry_heap_;
 };
 
 }  // namespace dip::pit

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "dip/pit/content_store.hpp"
@@ -114,6 +118,62 @@ TEST(Pit, CapacityRecoversViaExpiry) {
   pit.record_interest(2, 1, 0);
   // At t=150 both are expired; the refused insert triggers a sweep.
   EXPECT_TRUE(pit.record_interest(3, 1, 150));
+}
+
+TEST(Pit, ExpiryHeapStaysBoundedAcrossInterestDataCycles) {
+  // 64 standing entries keep the table nonempty (so the clear-on-empty
+  // rule never fires) while 100 000 interest+data cycles each leave a
+  // consumed entry's heap item behind, and every 16th cycle refreshes a
+  // standing entry (a refresh strands its previous item too).
+  Pit::Config config;
+  config.entry_lifetime = 1'000'000;
+  Pit pit(config);
+  constexpr std::uint64_t kStanding = 64;
+  std::map<std::uint64_t, SimTime> expiry;  // oracle: name -> expiry
+  for (std::uint64_t n = 0; n < kStanding; ++n) {
+    ASSERT_EQ(pit.record_interest(n, 1, 0).value(), InterestResult::kCreated);
+    expiry[n] = config.entry_lifetime;
+  }
+  std::size_t max_heap = 0;
+  for (std::uint64_t c = 0; c < 100'000; ++c) {
+    const SimTime now = c;
+    const std::uint64_t name = kStanding + c;
+    ASSERT_EQ(pit.record_interest(name, 1, now).value(), InterestResult::kCreated);
+    ASSERT_EQ(pit.match_data(name, now), (std::vector<FaceId>{1}));
+    if (c % 16 == 0) {
+      const std::uint64_t standing = (c / 16) % kStanding;
+      ASSERT_EQ(pit.record_interest(standing, static_cast<FaceId>(2 + c), now).value(),
+                InterestResult::kAggregated);
+      expiry[standing] = now + config.entry_lifetime;
+    }
+    ASSERT_LE(pit.heap_size(), pit.heap_bound()) << "cycle " << c;
+    max_heap = std::max(max_heap, pit.heap_size());
+  }
+  EXPECT_EQ(pit.size(), kStanding);
+  EXPECT_LE(max_heap, 4 * kStanding + 4096);
+
+  // expire() still honours exactly the latest expiry of every entry.
+  std::vector<SimTime> expiries;
+  for (const auto& [name, at] : expiry) expiries.push_back(at);
+  std::sort(expiries.begin(), expiries.end());
+  const SimTime cut = expiries[kStanding / 2];
+  const auto due = static_cast<std::size_t>(
+      std::count_if(expiries.begin(), expiries.end(), [&](SimTime at) { return at <= cut; }));
+  EXPECT_EQ(pit.expire(cut), due);
+  for (const auto& [name, at] : expiry) EXPECT_EQ(pit.has_entry(name, cut), at > cut) << name;
+  EXPECT_EQ(pit.expire(expiries.back()), kStanding - due);
+  EXPECT_EQ(pit.size(), 0u);
+  EXPECT_EQ(pit.heap_size(), 0u);
+}
+
+TEST(Pit, ExpiryHeapEmptiesWithTheTable) {
+  Pit pit;
+  for (std::uint64_t c = 0; c < 100'000; ++c) {
+    ASSERT_TRUE(pit.record_interest(c, 1, c).has_value());
+    ASSERT_EQ(pit.match_data(c, c).size(), 1u);
+  }
+  EXPECT_EQ(pit.size(), 0u);
+  EXPECT_EQ(pit.heap_size(), 0u);
 }
 
 // ---------- ContentStore ----------
